@@ -34,6 +34,7 @@ sidecar section in the V2.1 record (:mod:`repro.bitmap.serialization`).
 
 from __future__ import annotations
 
+import threading
 import zlib
 from typing import Sequence
 
@@ -341,3 +342,43 @@ def compute_ordering(
         for d, b in zip(data_columns, binnings)
     ]
     return fn(cols, [b.n_bins for b in binnings])
+
+
+class RunOrdering:
+    """One row permutation for a whole run, computed from its first step.
+
+    A permutation shared by all steps leaves cross-step joint popcounts
+    (the selection metrics) exactly invariant, while a per-step
+    permutation would silently break row alignment between steps.  Safe
+    to share between threads that build steps concurrently: two racing
+    first steps would otherwise compute *different* permutations.
+    """
+
+    def __init__(self, method: str) -> None:
+        if method not in _ORDERING_FNS:
+            raise ValueError(
+                f"unknown ordering method {method!r} "
+                f"(known: {list(ORDERING_METHODS)})"
+            )
+        self.method = method
+        self._ordering: RowOrdering | None = None
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        return {"method": self.method, "_ordering": self._ordering}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=threading.Lock())
+
+    def for_step(
+        self,
+        data_columns: Sequence[np.ndarray],
+        binnings: Sequence[Binning] | Binning,
+    ) -> RowOrdering:
+        """The run's ordering; the first step of each row count computes it
+        (:func:`compute_ordering` arguments)."""
+        n_rows = np.asarray(data_columns[0]).size
+        with self._lock:
+            if self._ordering is None or self._ordering.n_rows != n_rows:
+                self._ordering = compute_ordering(data_columns, binnings, self.method)
+            return self._ordering

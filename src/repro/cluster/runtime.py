@@ -27,7 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bitmap.binning import Binning, PrecisionBinning
-from repro.bitmap.builder import build_bitvectors, splice_bitvectors
+from repro.bitmap.builder import splice_bitvectors
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.serialization import load_index
 from repro.cluster.checkpoint import CheckpointStore, StepCheckpoint
@@ -42,6 +42,7 @@ from repro.cluster.transport import (
     RecoveryPolicy,
     Transport,
 )
+from repro.insitu.parallel import separate_cores_engine, shared_cores_engine
 from repro.insitu.writer import OutputWriter
 from repro.selection.greedy import Partitioning, SelectionResult
 from repro.selection.metrics import get_metric
@@ -228,6 +229,26 @@ def _step_binning(
     )
 
 
+def _open_engine(spec: ClusterSpec, slab_elements: int):
+    """The rank's in-situ engine (:mod:`repro.insitu.parallel` protocol)."""
+    if spec.engine == "separate":
+        return separate_cores_engine(
+            spec.binning,
+            spec.workers_per_rank,
+            slab_elements * 8,
+            adaptive_digits=spec.adaptive_digits,
+            chunk_elements=spec.chunk_elements,
+        )
+    # Serial is Shared Cores on one in-process worker.
+    shared = spec.engine == "shared"
+    return shared_cores_engine(
+        spec.workers_per_rank if shared else 1,
+        spec.binning,
+        executor="processes" if shared else "threads",
+        chunk_elements=spec.chunk_elements,
+    )
+
+
 def run_rank(transport: Transport, spec: ClusterSpec) -> RankReport:
     """SPMD body executed by every rank (the per-rank `InSituPipeline`).
 
@@ -260,96 +281,39 @@ def run_rank(transport: Transport, spec: ClusterSpec) -> RankReport:
         else:
             ckpt.begin(transport.size, (lo, hi))
 
+    engine = _open_engine(spec, hi - lo)
     step_ids: list[int] = []
-    indices: list[BitmapIndex] = []
-
-    def _advance_slab() -> tuple[int, np.ndarray, float, float]:
-        step = sim.advance()
-        slab = _rank_payload(step.fields, variable, lo, hi)
-        return step.step, slab, float(slab.min()), float(slab.max())
-
-    if spec.engine == "separate":
-        from repro.insitu.parallel import SeparateCoresEngine
-
-        slab_nbytes = max((hi - lo) * 8, 1)
-        engine = SeparateCoresEngine(
-            spec.binning,
-            n_workers=spec.workers_per_rank,
-            slot_nbytes=slab_nbytes,
-            adaptive_digits=spec.adaptive_digits,
-            chunk_elements=spec.chunk_elements,
-        )
-        extremes: dict[int, tuple[float, float]] = {}
-        try:
-            for pos in range(spec.n_steps):
-                if pos in recovered:
-                    sc, _ = recovered[pos]
-                    step_ids.append(sc.step_id)
-                    _step_binning(transport, spec, sc.vmin, sc.vmax)
-                    continue
-                step_id, slab, vmin, vmax = _advance_slab()
-                step_ids.append(step_id)
-                extremes[step_id] = (vmin, vmax)
-                binning = _step_binning(transport, spec, vmin, vmax)
-                engine.submit(
-                    step_id,
-                    slab,
-                    binning=binning if spec.binning is None else None,
-                )
-            results = engine.finish()
-        finally:
-            engine.close()
-        indices = [
-            recovered[pos][1] if pos in recovered else results[step_ids[pos]]
-            for pos in range(spec.n_steps)
-        ]
-        if ckpt is not None:
-            # The separate engine builds asynchronously; its step
-            # boundary for checkpointing purposes is finish().
-            for pos in range(spec.n_steps):
-                if pos not in recovered:
-                    vmin, vmax = extremes[step_ids[pos]]
-                    ckpt.record_step(step_ids[pos], indices[pos], vmin, vmax)
-    else:
-        if spec.engine == "shared":
-            from repro.insitu.parallel import SharedCoresEngine
-
-            engine_cm = SharedCoresEngine(
-                spec.workers_per_rank,
-                spec.binning,
-                chunk_elements=spec.chunk_elements,
-            )
-        else:
-            engine_cm = None
-
-        def _build(slab: np.ndarray, binning: Binning) -> BitmapIndex:
-            if engine_cm is not None:
-                return engine_cm.build_index(slab, binning=binning)
-            vectors = build_bitvectors(
-                slab, binning, chunk_elements=spec.chunk_elements
-            )
-            return BitmapIndex(binning, vectors, slab.size)
-
-        if engine_cm is not None:
-            engine_cm.__enter__()
-        try:
-            for pos in range(spec.n_steps):
-                if pos in recovered:
-                    sc, index = recovered[pos]
-                    step_ids.append(sc.step_id)
-                    indices.append(index)
-                    _step_binning(transport, spec, sc.vmin, sc.vmax)
-                    continue
-                step_id, slab, vmin, vmax = _advance_slab()
-                step_ids.append(step_id)
-                binning = _step_binning(transport, spec, vmin, vmax)
-                index = _build(slab, binning)
-                indices.append(index)
+    built: dict[int, BitmapIndex] = {}
+    extremes: dict[int, tuple[float, float]] = {}
+    try:
+        for pos in range(spec.n_steps):
+            if pos in recovered:
+                sc, index = recovered[pos]
+                step_ids.append(sc.step_id)
+                built[sc.step_id] = index
+                _step_binning(transport, spec, sc.vmin, sc.vmax)
+                continue
+            step = sim.advance()
+            slab = _rank_payload(step.fields, variable, lo, hi)
+            step_ids.append(step.step)
+            vmin, vmax = extremes[step.step] = float(slab.min()), float(slab.max())
+            binning = _step_binning(transport, spec, vmin, vmax)
+            index = engine.submit(step.step, slab, binning=binning)
+            if index is not None:
+                built[step.step] = index
                 if ckpt is not None:
-                    ckpt.record_step(step_id, index, vmin, vmax)
-        finally:
-            if engine_cm is not None:
-                engine_cm.__exit__(None, None, None)
+                    ckpt.record_step(step.step, index, vmin, vmax)
+        queued = engine.finish()
+    finally:
+        engine.close()
+    # An engine that queues steps builds them asynchronously; its step
+    # boundary for checkpointing purposes is finish().
+    for step_id in step_ids:
+        if step_id in queued:
+            built[step_id] = queued[step_id]
+            if ckpt is not None:
+                ckpt.record_step(step_id, built[step_id], *extremes[step_id])
+    indices = [built[step_id] for step_id in step_ids]
 
     selection = distributed_select(
         transport,

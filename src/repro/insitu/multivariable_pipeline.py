@@ -13,10 +13,12 @@ each selected step stored as 12 ``.rbmp`` files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Mapping
 
 from repro.insitu.memory import MemoryTracker
+from repro.insitu.parallel import InlineEngine
+from repro.insitu.pipeline import _drive
 from repro.insitu.variables import (
     MultiVariableIndexer,
     MultiVariableStep,
@@ -49,64 +51,44 @@ class MultiVariableResult:
         )
 
 
+@dataclass
 class MultiVariablePipeline:
     """Simulate, reduce per variable, select, persist to a BitmapStore."""
 
-    def __init__(
-        self,
-        simulation: Simulation,
-        indexer: MultiVariableIndexer,
-        metric: SelectionMetric,
-        *,
-        store: BitmapStore | None = None,
-        weights: Mapping[str, float] | None = None,
-    ) -> None:
-        self.simulation = simulation
-        self.indexer = indexer
-        self.metric = metric
-        self.store = store
-        self.weights = weights
+    simulation: Simulation
+    indexer: MultiVariableIndexer
+    metric: SelectionMetric
+    _: KW_ONLY
+    store: BitmapStore | None = None
+    weights: Mapping[str, float] | None = None
 
     def run(self, n_steps: int, select_k: int) -> MultiVariableResult:
-        timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-
-        reduced: list[MultiVariableStep] = []
-        for _ in range(n_steps):
-            with timings.timed("simulate"):
-                step = self.simulation.advance()
-            memory.set("current_step_raw", step.nbytes)
-            with timings.timed("reduce_bitmap"):
-                mv = self.indexer.reduce(step)
-            reduced.append(mv)
-            memory.add("retained_window", mv.nbytes)
-        memory.release("current_step_raw")
-
-        with timings.timed("select"):
-            selection = select_timesteps_multivariable(
-                reduced, select_k, self.metric, weights=self.weights
-            )
-
-        bytes_stored = 0
         per_variable: dict[str, int] = {}
+
+        def persist(items: list[tuple[int, MultiVariableStep]]) -> int:
+            before = self.store.total_bytes()
+            for step_id, mv in items:
+                for name, index in mv.indices.items():
+                    self.store.write(step_id, name, index)
+            for name in self.indexer.binnings:
+                per_variable[name] = sum(mv.indices[name].nbytes for _, mv in items)
+            return self.store.total_bytes() - before
+
+        result = _drive(
+            self.simulation, n_steps, lambda step: step,
+            lambda _: InlineEngine(lambda step, _binning: self.indexer.reduce(step)),
+            lambda reduced: select_timesteps_multivariable(
+                reduced, select_k, self.metric, weights=self.weights
+            ),
+            persist if self.store is not None else None,
+        )
         if self.store is not None:
-            with timings.timed("output"):
-                before = self.store.total_bytes()
-                for pos in selection.selected:
-                    mv = reduced[pos]
-                    for name, index in mv.indices.items():
-                        self.store.write(mv.step, name, index)
-                self.store.set_attr("metric", selection.metric_name)
+            with result.timings.timed("output"):
+                self.store.set_attr("metric", result.selection.metric_name)
                 self.store.set_attr(
-                    "selection", ",".join(str(s) for s in selection.selected)
+                    "selection", ",".join(str(s) for s in result.selection.selected)
                 )
-                bytes_stored = self.store.total_bytes() - before
-                for name in self.indexer.binnings:
-                    per_variable[name] = sum(
-                        reduced[pos].indices[name].nbytes
-                        for pos in selection.selected
-                    )
         return MultiVariableResult(
-            selection, timings, memory, bytes_stored, per_variable
+            result.selection, result.timings, result.memory,
+            result.bytes_written, per_variable,
         )

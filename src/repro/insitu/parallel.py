@@ -1,9 +1,21 @@
-"""Process-parallel bitmap generation: §2.3's two strategies, for real.
+"""The in-situ engines: §2.3's two strategies, for real.
 
-The threaded runner (:meth:`~repro.insitu.pipeline.InSituPipeline.run_threaded`)
-exercises the *semantics* of Separate Cores but the GIL serialises the
-Python halves of bitmap construction, so it cannot deliver the paper's
-Figure 7-12 wall-clock speedups.  This module runs both core-allocation
+Every engine speaks the protocol the in-situ driver
+(:mod:`repro.insitu.pipeline`) and the cluster ranks
+(:mod:`repro.cluster.runtime`) build through:
+``submit(step_id, payload, *, binning=None)`` returns the step's artifact
+when the engine builds it on the spot, or ``None`` when the step is
+queued; ``finish()`` returns ``{step_id: artifact}`` for the queued
+steps; ``resident_bytes`` (payload bytes parked in the queue), ``stats``
+(its :class:`~repro.insitu.queue.QueueStats`, or ``None``) and
+``close()`` complete it.
+
+:class:`InlineEngine` reduces on the caller thread (the serial pipeline).
+:class:`ThreadedEngine` runs Separate Cores on threads behind a
+:class:`~repro.insitu.queue.BoundedDataQueue`: it exercises the
+*semantics* of the strategy, but the GIL serialises the Python halves of
+bitmap construction, so it cannot deliver the paper's Figure 7-12
+wall-clock speedups.  The two process engines run both core-allocation
 strategies on **processes**, with payload arrays crossing the process
 boundary zero-copy through ``multiprocessing.shared_memory``:
 
@@ -26,14 +38,14 @@ boundary zero-copy through ``multiprocessing.shared_memory``:
   across processes: ``submit`` blocks while every slot is in flight, and
   a worker failure poisons the ring so the producer raises
   :class:`~repro.insitu.queue.QueueFailed` instead of deadlocking
-  (mirroring the threaded runner's ``fail()`` semantics).  The worker
+  (mirroring :class:`ThreadedEngine`'s ``fail()`` semantics).  The worker
   count comes from the paper's Equations 1-2 split
   (:func:`~repro.insitu.allocation.equation_1_2_allocation`).
 
-Both engines keep their pools and slabs alive across steps -- process
-start-up and slab allocation are paid once per run, not per time-step.
-Results always travel as ``(n_bits, [bytes])`` buffers; exceptions travel
-pickled (with a ``repr`` fallback for unpicklable ones).
+Both process engines keep their pools and slabs alive across steps --
+process start-up and slab allocation are paid once per run, not per
+time-step.  Results always travel as ``(n_bits, [bytes])`` buffers;
+exceptions travel pickled (with a ``repr`` fallback for unpicklable ones).
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ import threading
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,18 +64,111 @@ from repro.bitmap.binning import Binning
 from repro.bitmap.builder import (
     bitvectors_to_buffers,
     build_bitvectors,
+    build_bitvectors_parallel,
     stitch_buffer_parts,
 )
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.wah import WAHBitVector
-from repro.insitu.queue import QueueClosed, QueueFailed, QueueStats
+from repro.insitu.queue import (
+    BoundedDataQueue,
+    QueueClosed,
+    QueueFailed,
+    QueueStats,
+)
 from repro.selection.partitioning import validate_partitions
+from repro.sims.base import TimeStepData
 from repro.util.bits import GROUP_BITS
 
 #: Seconds between liveness checks while blocked on a cross-process queue.
 _POLL_SECONDS = 0.05
 #: Seconds to wait for worker shutdown before terminating the pool.
 _JOIN_SECONDS = 10.0
+
+
+# ---------------------------------------------------------- in-process engines
+class InlineEngine:
+    """Reduces each step on the caller thread and returns it at submit."""
+
+    resident_bytes = 0
+    stats = None
+
+    def __init__(self, reduce: Callable[[object, Binning | None], object]) -> None:
+        self._reduce = reduce
+
+    def submit(self, step_id: int, payload, *, binning: Binning | None = None):
+        return self._reduce(payload, binning)
+
+    def finish(self) -> dict:
+        return {}
+
+    def close(self) -> None:
+        pass
+
+
+class ThreadedEngine:
+    """Separate Cores on threads: a worker pool drains a bounded queue.
+
+    ``build(payload, None)`` runs on the workers, which choose the
+    binning themselves; ``submit`` blocks while the queue is full -- the
+    paper's memory-capacity backpressure.
+    """
+
+    def __init__(
+        self, build: Callable, capacity_bytes: int, n_workers: int = 1
+    ) -> None:
+        self._build = build
+        self._queue = BoundedDataQueue(capacity_bytes)
+        self.stats = self._queue.stats
+        self._results: dict[int, BitmapIndex] = {}
+        self._errors: list[BaseException] = []
+        self._lock = threading.Lock()
+        self._workers = [
+            threading.Thread(target=self._work, name=f"bitmap-worker-{i}")
+            for i in range(max(1, n_workers))
+        ]
+        for t in self._workers:
+            t.start()
+
+    @property
+    def resident_bytes(self) -> int:
+        return self._queue.resident_bytes
+
+    def _work(self) -> None:
+        while True:
+            try:
+                step = self._queue.get()
+            except QueueClosed:  # includes QueueFailed poisoning
+                return
+            try:
+                index = self._build(step.fields["payload"], None)
+                with self._lock:
+                    self._results[step.step] = index
+            except BaseException as exc:  # surfaced by finish()
+                with self._lock:
+                    self._errors.append(exc)
+                # Poison the queue so a producer blocked on a full queue
+                # (and sibling workers blocked on an empty one) wake up
+                # and tear down instead of deadlocking once every worker
+                # has died.
+                self._queue.fail(exc)
+                return
+
+    def submit(self, step_id: int, payload, *, binning: Binning | None = None) -> None:
+        if binning is not None:
+            raise ValueError("ThreadedEngine workers choose the binning")
+        self._queue.put(TimeStepData(step_id, {"payload": payload}))
+
+    def finish(self) -> dict[int, BitmapIndex]:
+        """Drain the pool; re-raise the first worker exception."""
+        self.close()
+        if self._errors:
+            raise self._errors[0]
+        return self._results
+
+    def close(self) -> None:
+        self._queue.close()
+        for t in self._workers:
+            t.join()
 
 
 # --------------------------------------------------------------- partitioning
@@ -194,7 +299,7 @@ def _shared_cores_worker(spec_blob: bytes, task_q, result_q) -> None:
 def _separate_cores_worker(spec_blob: bytes, task_q, result_q, free_q) -> None:
     """Separate Cores worker loop: build whole steps, release slots.
 
-    Mirrors the threaded worker of ``run_threaded``: on failure it ships
+    Mirrors :class:`ThreadedEngine`'s workers: on failure it ships
     the exception and *dies*; the parent's ring poisons itself so the
     producer raises instead of deadlocking.
     """
@@ -395,6 +500,20 @@ class SharedCoresEngine:
         vectors = self.build_bitvectors(flat, binning=binning)
         return BitmapIndex(binning, vectors, flat.size)
 
+    # ------------------------------------------------------ engine protocol
+    #: Every step is built before :meth:`submit` returns, so nothing is
+    #: ever queued (the in-situ driver's engine protocol).
+    resident_bytes = 0
+    stats = None
+
+    def submit(
+        self, step_id: int, payload: np.ndarray, *, binning: Binning | None = None
+    ) -> BitmapIndex:
+        return self.build_index(payload, binning=binning)
+
+    def finish(self) -> dict[int, BitmapIndex]:
+        return {}
+
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         if self._closed:
@@ -445,6 +564,34 @@ def build_bitvectors_processes(
         n_workers, binning, chunk_elements=chunk_elements
     ) as engine:
         return engine.build_bitvectors(data)
+
+
+def shared_cores_engine(
+    n_workers: int,
+    binning: Binning | None = None,
+    *,
+    executor: str = "processes",
+    chunk_elements: int = 1 << 20,
+):
+    """A Shared Cores engine: every step's build split across ``n_workers``.
+
+    ``executor='processes'`` gives a :class:`SharedCoresEngine`;
+    ``'threads'`` an :class:`InlineEngine` over the GIL-bound
+    :func:`~repro.bitmap.builder.build_bitvectors_parallel`, which builds
+    serially for one worker.
+    """
+    if executor == "processes":
+        return SharedCoresEngine(n_workers, binning, chunk_elements=chunk_elements)
+
+    def build(payload: np.ndarray, step_binning: Binning | None) -> BitmapIndex:
+        step_binning = step_binning or binning
+        vectors = build_bitvectors_parallel(
+            payload, step_binning, n_workers=n_workers,
+            chunk_elements=chunk_elements, executor="threads",
+        )
+        return BitmapIndex(step_binning, vectors, np.asarray(payload).size)
+
+    return InlineEngine(build)
 
 
 # ----------------------------------------------------------- Separate Cores
@@ -613,7 +760,7 @@ class SeparateCoresEngine:
         """Close the ring, drain the pool, and return step -> index.
 
         Re-raises the first worker exception (original type and args)
-        after the pool has drained, mirroring ``run_threaded``.
+        after the pool has drained, mirroring :class:`ThreadedEngine`.
         """
         if self._finished:
             raise RuntimeError("finish() already called")
@@ -679,3 +826,35 @@ class SeparateCoresEngine:
             self.close()
         except Exception:
             pass
+
+
+def separate_cores_engine(
+    binning: Binning | None,
+    n_workers: int,
+    payload_nbytes: int,
+    *,
+    capacity_bytes: int | None = None,
+    adaptive_digits: int = 1,
+    chunk_elements: int = 1 << 20,
+) -> SeparateCoresEngine:
+    """A Separate Cores engine whose slots fit ``payload_nbytes`` payloads.
+
+    Without ``capacity_bytes`` the ring has one slot per worker plus one.
+    With it, the slot count respects the byte bound but is capped: each
+    slot is one shared-memory segment, and past a few per worker more
+    buffering adds nothing.
+    """
+    slot_nbytes = max(int(payload_nbytes), 1)
+    n_slots = n_workers + 1
+    if capacity_bytes:
+        n_slots = min(
+            max(2, int(capacity_bytes) // slot_nbytes), max(8, 4 * n_workers)
+        )
+    return SeparateCoresEngine(
+        binning,
+        n_workers=n_workers,
+        slot_nbytes=slot_nbytes,
+        n_slots=n_slots,
+        adaptive_digits=adaptive_digits,
+        chunk_elements=chunk_elements,
+    )

@@ -1,6 +1,6 @@
 """The in-situ analysis pipeline (Figure 2 end-to-end).
 
-One driver, three reduction modes matching the methods §5 compares:
+Three reduction modes matching the methods §5 compares:
 
 * ``bitmap``   -- simulate -> build a compressed bitmap index per step ->
   **discard the raw data** -> select K of N on bitmaps -> write only the
@@ -10,41 +10,41 @@ One driver, three reduction modes matching the methods §5 compares:
 * ``sampling`` -- simulate -> down-sample -> select on samples -> write
   the selected samples (the §5.5 baseline).
 
-Each phase is wall-clock timed into the same decomposition the paper's
-stacked bars use (simulate / reduce / select / output), and a
-:class:`~repro.insitu.memory.MemoryTracker` records the resident-set
-categories of Figure 11.
-
-:meth:`InSituPipeline.run_threaded` additionally executes the *Separate
-Cores* strategy for real: the simulation runs on the caller thread, bitmap
-construction on a worker pool, and a bounded
-:class:`~repro.insitu.queue.BoundedDataQueue` provides the paper's
-memory-capacity backpressure.
-
-:meth:`InSituPipeline.run_parallel` is the multi-core engine: it executes
-either strategy on **processes** (threads remain an escape hatch) through
-the shared-memory engines of :mod:`repro.insitu.parallel`, producing
-bitmaps bit-identical to :meth:`InSituPipeline.run` with real wall-clock
-speedup on multi-core hosts.
+Every entry point here and in :mod:`repro.insitu.multivariable_pipeline`
+picks an *engine* (:mod:`repro.insitu.parallel`) and a *selector* (batch,
+or a :class:`~repro.selection.streaming.StreamingSelector`) and calls
+:func:`_drive`: the one simulate -> reduce -> select -> write loop, and
+the only keeper of the phase timings of the paper's stacked bars, of
+Figure 11's :class:`~repro.insitu.memory.MemoryTracker` categories and of
+the already-built prefix of steps.
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import nullcontext, suppress
+from functools import partial
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.bitmap.adaptive import AdaptivePrecisionIndexer, aligned_metric
 from repro.bitmap.binning import Binning
 from repro.bitmap.index import BitmapIndex
+from repro.bitmap.ordering import RunOrdering
 from repro.insitu.allocation import (
     SeparateCores,
     SharedCores,
     equation_1_2_allocation,
 )
 from repro.insitu.memory import MemoryTracker
-from repro.insitu.queue import BoundedDataQueue, QueueClosed, QueueFailed
+from repro.insitu.parallel import (
+    InlineEngine,
+    ThreadedEngine,
+    separate_cores_engine,
+    shared_cores_engine,
+)
+from repro.insitu.queue import QueueFailed
 from repro.insitu.sampling import Sampler
 from repro.insitu.writer import OutputWriter
 from repro.selection.greedy import (
@@ -54,6 +54,7 @@ from repro.selection.greedy import (
     select_timesteps_full,
 )
 from repro.selection.metrics import SelectionMetric
+from repro.selection.streaming import StreamingSelector
 from repro.sims.base import Simulation, TimeStepData
 from repro.util.timing import TimeBreakdown
 
@@ -98,6 +99,120 @@ class PipelineResult:
         )
 
 
+class _Sample(NamedTuple):
+    """A down-sampled step.  Positions are regenerated at write time from
+    the *original* payload size: deriving it from the sample length and
+    fraction rounds wrongly for many pairs, giving out-of-range positions."""
+
+    values: np.ndarray
+    n_elements: int
+    nbytes: int
+
+
+# ------------------------------------------------------------------- driver
+def _drive(
+    simulation: Simulation,
+    n_steps: int,
+    payload_fn: Callable,
+    open_engine: Callable,
+    select: Callable[[list], SelectionResult] | StreamingSelector,
+    write: Callable[[list[tuple[int, object]]], int] | None,
+    *,
+    mode: ReductionMode = "bitmap",
+    binning_for: Callable | None = None,
+    prefix: Sequence[tuple[int, object]] = (),
+    timings: TimeBreakdown | None = None,
+) -> PipelineResult:
+    """Simulate the steps after ``prefix``, reduce, select, write.
+
+    ``open_engine(payload)`` starts the engine at the first simulated
+    step; ``binning_for(payload)`` bins steps on the simulation side.
+    ``write(items)`` stores ``(step_id, artifact)`` pairs and returns the
+    bytes written.
+    """
+    timings = timings if timings is not None else TimeBreakdown()
+    phase = {"bitmap": "reduce_bitmap", "sampling": "reduce_sample"}.get(mode)
+    reduce_clock = (lambda: timings.timed(phase)) if phase else nullcontext
+    memory = MemoryTracker()
+    memory.set("simulation_substrate", max(simulation.substrate_nbytes, 1))
+    streaming = isinstance(select, StreamingSelector)
+    step_ids: list[int] = []
+    built: dict[int, object] = {}
+    nbytes: dict[int, int] = {}
+    written: list[int] = []
+
+    def keep(step_id: int, artifact) -> None:
+        nbytes[step_id] = artifact.nbytes
+        if not streaming:
+            built[step_id] = artifact
+            memory.add("retained_window", artifact.nbytes)
+            return
+        with timings.timed("select"):
+            select.push((step_id, artifact))
+        # Account what is *actually* resident: the retained artifacts' own
+        # sizes, not the current step's size times a count (bitmap sizes
+        # vary step to step with data compressibility).
+        memory.set("retained_window", sum(a.nbytes for _, a in select.resident()))
+
+    def flush(items: list[tuple[int, object]]) -> None:
+        if write is not None and items:
+            with timings.timed("output"):
+                written.append(write(items))
+
+    if streaming:
+        # Selected bitmaps hit storage the moment their interval closes.
+        select.on_commit = lambda _s, _score, item: flush([item] if item else [])
+    for step_id, artifact in prefix:
+        step_ids.append(step_id)
+        keep(step_id, artifact)
+    engine = None
+    try:
+        # A worker that dies poisons its queue; finish() then re-raises
+        # the original exception once the pool has drained.
+        with suppress(QueueFailed):
+            for _ in range(n_steps - len(prefix)):
+                with timings.timed("simulate"):
+                    step = simulation.advance()
+                payload = payload_fn(step)
+                step_ids.append(step.step)
+                if engine is None:
+                    engine = open_engine(payload)
+                with reduce_clock():
+                    binning = binning_for(payload) if binning_for else None
+                    artifact = engine.submit(step.step, payload, binning=binning)
+                if artifact is None:
+                    memory.set("queue", engine.resident_bytes)
+                    continue
+                if phase:
+                    # Raw data is resident only while being reduced -- the
+                    # in-situ memory win.  (Unreduced, the payload *is* the
+                    # retained artifact; counting it here too would
+                    # double-book one step.)
+                    memory.set("current_step_raw", payload.nbytes)
+                keep(step.step, artifact)
+        if engine is not None:
+            with reduce_clock():
+                queued = engine.finish()
+            for step_id in step_ids:
+                if step_id in queued:
+                    keep(step_id, queued[step_id])
+    finally:
+        if engine is not None:
+            engine.close()
+    memory.release("current_step_raw")
+
+    with timings.timed("select"):
+        artifacts = [built.get(s) for s in step_ids]
+        selection = select.finalize() if streaming else select(artifacts)
+    if not streaming:
+        flush([(step_ids[pos], artifacts[pos]) for pos in selection.selected])
+    return PipelineResult(
+        mode, timings, selection, memory, sum(written),
+        [nbytes[s] for s in step_ids], engine.stats if engine is not None else None,
+    )
+
+
+# ----------------------------------------------------------------- pipeline
 class InSituPipeline:
     """Drives a :class:`~repro.sims.base.Simulation` through reduce-select-write."""
 
@@ -124,13 +239,6 @@ class InSituPipeline:
                 "mode; full-data/sampling metrics need a declared scale"
             )
         if ordering is not None:
-            from repro.bitmap.ordering import ORDERING_METHODS
-
-            if ordering not in ORDERING_METHODS:
-                raise ValueError(
-                    f"unknown ordering method {ordering!r} "
-                    f"(known: {list(ORDERING_METHODS)})"
-                )
             if mode != "bitmap":
                 raise ValueError(
                     "row ordering reorders bitmap encoding; it is only "
@@ -154,24 +262,20 @@ class InSituPipeline:
         self.build_method = build_method
         self.ordering_method = ordering
         #: Run-level row ordering, computed from the *first* step's
-        #: payload and reused for every later step: a permutation shared
-        #: by all steps leaves cross-step joint popcounts (the selection
-        #: metrics) exactly invariant, while a per-step permutation would
-        #: silently break row alignment between steps.
-        self._ordering = None
-        self._ordering_lock = threading.Lock()
+        #: payload and reused for every later step.
+        self._ordering = RunOrdering(ordering) if ordering is not None else None
         if binning is None:
             # Per-step tick-aligned binning (§5.1's 64-206 bins regime):
             # each step is indexed under its own minimal range; selection
             # metrics align ticks pairwise.
-            from repro.bitmap.adaptive import AdaptivePrecisionIndexer, aligned_metric
-
             self._indexer = AdaptivePrecisionIndexer(
                 digits=adaptive_digits, method=build_method
             )
+            self._step_binning = self._indexer.binning_for
             self.metric = aligned_metric(metric)
         else:
             self._indexer = None
+            self._step_binning = lambda _payload: binning
             self.metric = metric
 
     # ----------------------------------------------------------- sequential
@@ -195,14 +299,6 @@ class InSituPipeline:
         other modes retain raw/sampled arrays, which no checkpoint holds.
         """
         timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-
-        artifacts: list[object] = []
-        artifact_bytes: list[int] = []
-        steps_meta: list[int] = []
-        payload_sizes: list[int] = []
-
         if resume:
             if self.mode != "bitmap":
                 raise ValueError("resume is defined for bitmap mode only")
@@ -213,38 +309,9 @@ class InSituPipeline:
                 )
             with timings.timed("simulate"):
                 self.simulation.skip(len(resume))
-            for step_id, index in resume:
-                artifacts.append(index)
-                artifact_bytes.append(index.nbytes)
-                steps_meta.append(step_id)
-                payload_sizes.append(index.n_elements)
-                memory.add("retained_window", index.nbytes)
-
-        for _ in range(n_steps - len(steps_meta)):
-            with timings.timed("simulate"):
-                step = self.simulation.advance()
-            payload = self.payload_fn(step)
-            steps_meta.append(step.step)
-            payload_sizes.append(payload.size)
-            if self.mode != "fulldata":
-                # Raw data is resident only while being reduced -- the
-                # in-situ memory win.  (In fulldata mode the payload *is*
-                # the retained artifact; counting it here too would
-                # double-book one step.)
-                memory.set("current_step_raw", payload.nbytes)
-
-            artifact, nbytes, _phase = self._reduce(payload, timings)
-            artifacts.append(artifact)
-            artifact_bytes.append(nbytes)
-            memory.add("retained_window", nbytes)
-        memory.release("current_step_raw")
-
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(
-            artifacts, steps_meta, selection, timings, payload_sizes=payload_sizes
-        )
-        return PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
+        return self._run(
+            n_steps, select_k, lambda _: InlineEngine(self._reduce),
+            prefix=resume or (), timings=timings,
         )
 
     # ------------------------------------------------------------- threaded
@@ -263,78 +330,9 @@ class InSituPipeline:
         """
         if self.mode != "bitmap":
             raise ValueError("threaded execution is defined for bitmap mode")
-        timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-        queue = BoundedDataQueue(queue_capacity_bytes)
-        results: dict[int, tuple[BitmapIndex, int]] = {}
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-
-        def worker() -> None:
-            while True:
-                try:
-                    step = queue.get()
-                except QueueClosed:  # includes QueueFailed poisoning
-                    return
-                try:
-                    payload = self.payload_fn(step)
-                    index = self._build_index(payload)
-                    with lock:
-                        results[step.step] = (index, index.nbytes)
-                except BaseException as exc:  # surfaced after join
-                    with lock:
-                        errors.append(exc)
-                    # Poison the queue so a producer blocked on a full
-                    # queue (and sibling workers blocked on an empty one)
-                    # wake up and tear down instead of deadlocking once
-                    # every worker has died.
-                    queue.fail(exc)
-                    return
-
-        workers = [
-            threading.Thread(target=worker, name=f"bitmap-worker-{i}")
-            for i in range(max(1, n_workers))
-        ]
-        for t in workers:
-            t.start()
-
-        import time as _time
-
-        t0 = _time.perf_counter()
-        order: list[int] = []
-        try:
-            for _ in range(n_steps):
-                with timings.timed("simulate"):
-                    step = self.simulation.advance()
-                order.append(step.step)
-                queue.put(step)
-                memory.set("queue", queue.resident_bytes)
-            queue.close()
-        except QueueFailed:
-            # A worker died and poisoned the queue; the original exception
-            # is re-raised below once the pool has drained.
-            pass
-        for t in workers:
-            t.join()
-        if errors:
-            raise errors[0]
-        wall = _time.perf_counter() - t0
-        # Bitmap time overlapped with simulation: report the *extra* wall
-        # time beyond simulation as the visible reduction cost.
-        timings.add("reduce_bitmap", max(0.0, wall - timings.phases.get("simulate", 0.0)))
-
-        artifacts = [results[s][0] for s in order]
-        artifact_bytes = [results[s][1] for s in order]
-        for nbytes in artifact_bytes:
-            memory.add("retained_window", nbytes)
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(artifacts, order, selection, timings)
-        result = PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
-        )
-        result.queue_stats = queue.stats
-        return result
+        return self._run(n_steps, select_k, lambda _: ThreadedEngine(
+            self._build_index, queue_capacity_bytes, n_workers
+        ))
 
     # ------------------------------------------------------------- parallel
     def run_parallel(
@@ -351,31 +349,22 @@ class InSituPipeline:
     ) -> PipelineResult:
         """Multi-core execution of either §2.3 core-allocation strategy.
 
-        Row ordering is not supported here: the shared-memory engines
-        build from spatially-partitioned slabs whose stitching assumes
-        simulation order.  Use :meth:`run` / :meth:`run_threaded` with
-        ``ordering=``, or build ordered indices directly.
-
-        ``allocation`` picks the strategy: a
-        :class:`~repro.insitu.allocation.SharedCores` runs every step's
-        build spatially partitioned across all workers, a
+        ``allocation`` picks it: a
+        :class:`~repro.insitu.allocation.SharedCores` splits every step's
+        build spatially across all workers, a
         :class:`~repro.insitu.allocation.SeparateCores` overlaps the
-        parent-side simulation with a persistent encoder pool
-        (``bitmap_cores`` workers) behind a bounded shared-memory ring,
-        and ``"auto"`` measures ``calibration_steps`` steps serially and
-        derives the split from the paper's Equations 1-2.  When
-        ``allocation`` is omitted, ``n_workers`` selects Shared Cores
-        with that many workers.
-
-        ``executor='processes'`` (default) uses the zero-copy
-        shared-memory engines of :mod:`repro.insitu.parallel`;
+        parent-side simulation with ``bitmap_cores`` encoder workers behind
+        a bounded queue, and ``"auto"`` measures ``calibration_steps``
+        steps serially and splits ``n_workers`` cores by the paper's
+        Equations 1-2.  Without ``allocation``, ``n_workers`` selects
+        Shared Cores.  ``executor='processes'`` (default) uses the
+        zero-copy shared-memory engines of :mod:`repro.insitu.parallel`;
         ``'threads'`` is the GIL-bound escape hatch (lower overhead for
         tiny steps, no multi-core speedup for the Python fraction).
 
-        Bitmaps are bit-identical to :meth:`run` in every configuration
-        (the parallel builders use the vectorised kernel, as does
-        :meth:`run` by default; ``build_method='online'`` runs are
-        word-identical too, by construction).
+        Bitmaps are bit-identical to :meth:`run` in every configuration.
+        Row ordering is not supported: the shared-memory engines stitch
+        spatial slabs in simulation order.
         """
         if self.mode != "bitmap":
             raise ValueError("parallel execution is defined for bitmap mode")
@@ -386,8 +375,8 @@ class InSituPipeline:
             )
         if executor not in ("threads", "processes"):
             raise ValueError(f"unknown executor {executor!r}")
-        prebuilt: list[tuple[int, BitmapIndex]] = []
-        pre_timings = TimeBreakdown()
+        timings = TimeBreakdown()
+        prefix: list[tuple[int, BitmapIndex]] = []
         if allocation is None:
             if n_workers is None:
                 raise ValueError("pass allocation=... or n_workers=...")
@@ -395,204 +384,47 @@ class InSituPipeline:
         elif allocation == "auto":
             if n_workers is None:
                 raise ValueError("allocation='auto' needs n_workers (total cores)")
-            total = n_workers
             probe = min(max(1, calibration_steps), n_steps)
             for _ in range(probe):
-                with pre_timings.timed("simulate"):
-                    step = self.simulation.advance()
-                payload = self.payload_fn(step)
-                with pre_timings.timed("reduce_bitmap"):
-                    index = self._build_index(payload)
-                prebuilt.append((step.step, index))
-            allocation = equation_1_2_allocation(
-                total,
-                pre_timings.phases["simulate"] / probe,
-                pre_timings.phases["reduce_bitmap"] / probe,
-            )
-            n_steps -= probe
-        if isinstance(allocation, SharedCores):
-            if prebuilt:
-                raise ValueError("'auto' calibration always yields SeparateCores")
-            return self._run_parallel_shared(
-                n_steps, select_k, allocation,
-                executor=executor, chunk_elements=chunk_elements,
-            )
-        if isinstance(allocation, SeparateCores):
-            if executor == "threads":
-                if prebuilt:
-                    raise ValueError(
-                        "allocation='auto' is only supported with processes"
-                    )
-                return self.run_threaded(
-                    n_steps,
-                    select_k,
-                    queue_capacity_bytes=queue_capacity_bytes
-                    or 4 * max(self.simulation.bytes_per_step, 1),
-                    n_workers=allocation.bitmap_cores,
-                )
-            return self._run_parallel_separate(
-                n_steps, select_k, allocation,
-                queue_capacity_bytes=queue_capacity_bytes,
-                chunk_elements=chunk_elements,
-                prebuilt=prebuilt, pre_timings=pre_timings,
-            )
-        raise ValueError(f"unknown allocation {allocation!r}")
-
-    def _parallel_spec(self) -> tuple[Binning | None, int]:
-        """(fixed binning or None for adaptive, adaptive digits)."""
-        if self._indexer is not None:
-            return None, self._indexer.digits
-        return self.binning, 1
-
-    def _run_parallel_shared(
-        self,
-        n_steps: int,
-        select_k: int,
-        allocation: SharedCores,
-        *,
-        executor: str,
-        chunk_elements: int,
-    ) -> PipelineResult:
-        """Shared Cores: phases alternate, every build spatially split."""
-        from repro.bitmap.builder import build_bitvectors_parallel
-
-        timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-        binning, _digits = self._parallel_spec()
-
-        engine = None
-        if executor == "processes":
-            from repro.insitu.parallel import SharedCoresEngine
-
-            engine = SharedCoresEngine(
-                allocation.total_cores, binning, chunk_elements=chunk_elements
-            )
-        artifacts: list[BitmapIndex] = []
-        artifact_bytes: list[int] = []
-        steps_meta: list[int] = []
-        try:
-            for _ in range(n_steps):
                 with timings.timed("simulate"):
                     step = self.simulation.advance()
                 payload = self.payload_fn(step)
-                steps_meta.append(step.step)
-                memory.set("current_step_raw", payload.nbytes)
                 with timings.timed("reduce_bitmap"):
-                    step_binning = (
-                        binning
-                        if binning is not None
-                        else self._indexer.binning_for(payload)
-                    )
-                    if engine is not None:
-                        index = engine.build_index(payload, binning=step_binning)
-                    else:
-                        vectors = build_bitvectors_parallel(
-                            payload,
-                            step_binning,
-                            n_workers=allocation.total_cores,
-                            chunk_elements=chunk_elements,
-                            executor="threads",
-                        )
-                        index = BitmapIndex(step_binning, vectors, payload.size)
-                artifacts.append(index)
-                artifact_bytes.append(index.nbytes)
-                memory.add("retained_window", index.nbytes)
-        finally:
-            if engine is not None:
-                engine.close()
-        memory.release("current_step_raw")
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(artifacts, steps_meta, selection, timings)
-        return PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
+                    prefix.append((step.step, self._build_index(payload)))
+            allocation = equation_1_2_allocation(
+                n_workers,
+                timings.phases["simulate"] / probe,
+                timings.phases["reduce_bitmap"] / probe,
+            )
+        if not isinstance(allocation, (SharedCores, SeparateCores)):
+            raise ValueError(f"unknown allocation {allocation!r}")
+
+        def open_engine(payload: np.ndarray):
+            if isinstance(allocation, SharedCores):
+                return shared_cores_engine(
+                    allocation.total_cores, self.binning,
+                    executor=executor, chunk_elements=chunk_elements,
+                )
+            if executor == "threads":
+                return ThreadedEngine(
+                    self._build_index,
+                    queue_capacity_bytes or 4 * max(self.simulation.bytes_per_step, 1),
+                    allocation.bitmap_cores,
+                )
+            return separate_cores_engine(
+                self.binning, allocation.bitmap_cores, payload.nbytes,
+                capacity_bytes=queue_capacity_bytes,
+                adaptive_digits=self._indexer.digits if self._indexer else 1,
+                chunk_elements=chunk_elements,
+            )
+
+        # Shared Cores bins each step on the simulation side, then splits
+        # its build across every core.
+        shared = isinstance(allocation, SharedCores)
+        return self._run(
+            n_steps, select_k, open_engine, prefix=prefix, timings=timings,
+            binning_for=self._step_binning if shared else None,
         )
-
-    def _run_parallel_separate(
-        self,
-        n_steps: int,
-        select_k: int,
-        allocation: SeparateCores,
-        *,
-        queue_capacity_bytes: int | None,
-        chunk_elements: int,
-        prebuilt: list[tuple[int, BitmapIndex]],
-        pre_timings: TimeBreakdown,
-    ) -> PipelineResult:
-        """Separate Cores on processes: simulation overlaps a bounded
-        shared-memory encoder ring."""
-        import time as _time
-
-        from repro.insitu.parallel import SeparateCoresEngine
-
-        timings = pre_timings
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-        binning, digits = self._parallel_spec()
-
-        engine: SeparateCoresEngine | None = None
-        order = [step_id for step_id, _ in prebuilt]
-        results: dict[int, BitmapIndex] = dict(prebuilt)
-        t0 = _time.perf_counter()
-        sim_before = timings.phases.get("simulate", 0.0)
-        try:
-            try:
-                for _ in range(n_steps):
-                    with timings.timed("simulate"):
-                        step = self.simulation.advance()
-                    payload = self.payload_fn(step)
-                    order.append(step.step)
-                    if engine is None:
-                        slot_nbytes = max(payload.nbytes, 1)
-                        if queue_capacity_bytes:
-                            # Respect the byte bound, but cap the slot
-                            # count: each slot is one shared-memory
-                            # segment, and past a few per worker more
-                            # buffering adds nothing.
-                            n_slots = min(
-                                max(2, int(queue_capacity_bytes) // slot_nbytes),
-                                max(8, 4 * allocation.bitmap_cores),
-                            )
-                        else:
-                            n_slots = allocation.bitmap_cores + 1
-                        engine = SeparateCoresEngine(
-                            binning,
-                            n_workers=allocation.bitmap_cores,
-                            slot_nbytes=slot_nbytes,
-                            n_slots=n_slots,
-                            adaptive_digits=digits,
-                            chunk_elements=chunk_elements,
-                        )
-                    engine.submit(step.step, payload)
-                    memory.set("queue", engine.resident_bytes)
-            except QueueFailed:
-                # A worker died and poisoned the ring; finish() below
-                # re-raises the original exception once the pool drains.
-                pass
-            if engine is not None:
-                results.update(engine.finish())
-        finally:
-            if engine is not None:
-                engine.close()
-        wall = _time.perf_counter() - t0
-        # Bitmap time overlapped with simulation: report the *extra* wall
-        # time beyond this phase's simulation share as visible reduction.
-        timings.add(
-            "reduce_bitmap",
-            max(0.0, wall - (timings.phases.get("simulate", 0.0) - sim_before)),
-        )
-
-        artifacts = [results[s] for s in order]
-        artifact_bytes = [idx.nbytes for idx in artifacts]
-        for nbytes in artifact_bytes:
-            memory.add("retained_window", nbytes)
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(artifacts, order, selection, timings)
-        result = PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
-        )
-        result.queue_stats = engine.stats if engine is not None else None
-        return result
 
     # ------------------------------------------------------------ streaming
     def run_streaming(self, n_steps: int, select_k: int) -> PipelineResult:
@@ -608,155 +440,78 @@ class InSituPipeline:
         """
         if self.mode != "bitmap":
             raise ValueError("streaming execution is defined for bitmap mode")
-        from repro.selection.streaming import StreamingSelector
-
-        timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-
-        artifact_bytes: list[int] = []
-        written_steps: list[int] = []
-        bytes_written = 0
-
-        selector: StreamingSelector[tuple[int, BitmapIndex]] = StreamingSelector(
-            n_steps,
-            select_k,
-            lambda prev, cand: self.metric.bitmap(prev[1], cand[1]),
+        selector = StreamingSelector(
+            n_steps, select_k, lambda prev, cand: self.metric.bitmap(prev[1], cand[1])
         )
-        # Wrap commits so selected bitmaps hit storage immediately.
-        original_commit = selector._commit
-
-        def commit_and_write(step, score, artifact):
-            nonlocal bytes_written
-            original_commit(step, score, artifact)
-            if self.writer is not None and artifact is not None:
-                step_id, index = artifact
-                with timings.timed("output"):
-                    before = self.writer.stats.bytes_written
-                    self.writer.write_bitmap_step(step_id, {"payload": index})
-                    bytes_written += self.writer.stats.bytes_written - before
-                written_steps.append(step_id)
-
-        selector._commit = commit_and_write  # type: ignore[method-assign]
-
-        for _ in range(n_steps):
-            with timings.timed("simulate"):
-                step = self.simulation.advance()
-            payload = self.payload_fn(step)
-            memory.set("current_step_raw", payload.nbytes)
-            with timings.timed("reduce_bitmap"):
-                index = self._build_index(payload)
-            artifact_bytes.append(index.nbytes)
-            with timings.timed("select"):
-                selector.push((step.step, index))
-            # Account what is *actually* resident: the retained artifacts'
-            # own sizes, not the current step's size times a count (bitmap
-            # sizes vary step to step with data compressibility).
-            memory.set(
-                "retained_window",
-                sum(art[1].nbytes for art in selector.resident()),
-            )
-        memory.release("current_step_raw")
-        with timings.timed("select"):
-            selection = selector.finalize()
-        return PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
+        return self._run(
+            n_steps, select_k, lambda _: InlineEngine(self._reduce), selector=selector
         )
 
     # -------------------------------------------------------------- phases
-    def _build_index(self, payload: np.ndarray) -> BitmapIndex:
-        if self.ordering_method is not None:
-            return self._build_ordered_index(payload)
-        if self._indexer is not None:
-            return self._indexer.index(payload)
-        return BitmapIndex.build(payload, self.binning, method=self.build_method)
-
-    def _build_ordered_index(self, payload: np.ndarray) -> BitmapIndex:
-        from repro.bitmap.ordering import compute_ordering
-
-        flat = np.asarray(payload).ravel()
-        binning = (
-            self._indexer.binning_for(flat)
-            if self._indexer is not None
-            else self.binning
+    def _run(self, n_steps, select_k, open_engine, *, selector=None, **kwargs):
+        """One :func:`_drive` call with this pipeline's mode-specific parts."""
+        return _drive(
+            self.simulation,
+            n_steps,
+            self.payload_fn,
+            open_engine,
+            selector or partial(self._select, select_k=select_k),
+            self._write if self.writer is not None else None,
+            mode=self.mode,
+            **kwargs,
         )
-        # Locked: run_threaded builds steps concurrently, and two racing
-        # first-steps would compute *different* permutations -- which
-        # breaks the row alignment the selection metrics rely on.
-        with self._ordering_lock:
-            if self._ordering is None or self._ordering.n_rows != flat.size:
-                self._ordering = compute_ordering(
-                    [flat], binning, self.ordering_method
-                )
-            ordering = self._ordering
+
+    def _build_index(
+        self, payload: np.ndarray, binning: Binning | None = None
+    ) -> BitmapIndex:
+        if binning is None:
+            binning = self._step_binning(payload)
+        ordering = None
+        if self._ordering is not None:
+            ordering = self._ordering.for_step([payload], binning)
         return BitmapIndex.build(
-            flat, binning, method=self.build_method, ordering=ordering
+            payload, binning, method=self.build_method, ordering=ordering
         )
 
-    def _reduce(self, payload: np.ndarray, timings: TimeBreakdown):
+    def _reduce(self, payload: np.ndarray, binning: Binning | None = None):
         if self.mode == "bitmap":
-            with timings.timed("reduce_bitmap"):
-                index = self._build_index(payload)
-            return index, index.nbytes, "reduce_bitmap"
+            return self._build_index(payload, binning)
         if self.mode == "sampling":
-            assert self.sampler is not None
-            with timings.timed("reduce_sample"):
-                sample = self.sampler.sample(payload)
-            nbytes = self.sampler.sample_bytes(payload.size)
-            return sample, nbytes, "reduce_sample"
+            sampler, n = self.sampler, payload.size
+            assert sampler is not None
+            return _Sample(sampler.sample(payload), n, sampler.sample_bytes(n))
         # fulldata: the "reduction" is keeping everything.
-        return payload, payload.nbytes, "none"
+        return payload
 
-    def _select(
-        self, artifacts: list[object], select_k: int, timings: TimeBreakdown
-    ) -> SelectionResult:
-        with timings.timed("select"):
-            if self.mode == "bitmap":
-                return select_timesteps_bitmap(
-                    artifacts, select_k, self.metric, partitioning=self.partitioning
-                )
-            return select_timesteps_full(
-                artifacts,
-                select_k,
-                self.metric,
-                self.binning,
-                partitioning=self.partitioning,
+    def _select(self, artifacts: list, select_k: int) -> SelectionResult:
+        if self.mode == "bitmap":
+            return select_timesteps_bitmap(
+                artifacts, select_k, self.metric, partitioning=self.partitioning
             )
+        if self.mode == "sampling":
+            artifacts = [sample.values for sample in artifacts]
+        return select_timesteps_full(
+            artifacts,
+            select_k,
+            self.metric,
+            self.binning,
+            partitioning=self.partitioning,
+        )
 
-    def _write(
-        self,
-        artifacts: list[object],
-        steps_meta: list[int],
-        selection: SelectionResult,
-        timings: TimeBreakdown,
-        *,
-        payload_sizes: list[int] | None = None,
-    ) -> int:
-        if self.writer is None:
-            return 0
+    def _write(self, items: list[tuple[int, object]]) -> int:
         before = self.writer.stats.bytes_written
-        with timings.timed("output"):
-            for pos in selection.selected:
-                step_id = steps_meta[pos]
-                artifact = artifacts[pos]
-                if self.mode == "bitmap":
-                    self.writer.write_bitmap_step(step_id, {"payload": artifact})
-                elif self.mode == "sampling":
-                    assert self.sampler is not None
-                    # Positions must be regenerated for the *original*
-                    # payload size recorded at reduce time; deriving it
-                    # back from the sample length and fraction rounds the
-                    # wrong way for many (size, fraction) pairs and yields
-                    # out-of-range positions.
-                    assert payload_sizes is not None, (
-                        "sampling mode requires per-step payload sizes"
-                    )
-                    positions = self.sampler.positions(payload_sizes[pos])
-                    self.writer.write_sample_step(
-                        step_id, positions, {"payload": artifact}
-                    )
-                else:
-                    self.writer.write_raw_step(
-                        TimeStepData(step_id, {"payload": np.asarray(artifact)})
-                    )
+        for step_id, artifact in items:
+            if self.mode == "bitmap":
+                self.writer.write_bitmap_step(step_id, {"payload": artifact})
+            elif self.mode == "sampling":
+                assert self.sampler is not None
+                self.writer.write_sample_step(
+                    step_id,
+                    self.sampler.positions(artifact.n_elements),
+                    {"payload": artifact.values},
+                )
+            else:
+                self.writer.write_raw_step(
+                    TimeStepData(step_id, {"payload": np.asarray(artifact)})
+                )
         return self.writer.stats.bytes_written - before

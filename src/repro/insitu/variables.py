@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.bitmap.binning import Binning
 from repro.bitmap.index import BitmapIndex
+from repro.bitmap.ordering import RunOrdering
 from repro.sims.base import TimeStepData
 
 
@@ -72,14 +73,8 @@ class MultiVariableIndexer:
     def __post_init__(self) -> None:
         if not self.binnings:
             raise ValueError("need at least one variable binning")
-        if self.ordering is not None:
-            from repro.bitmap.ordering import ORDERING_METHODS
-
-            if self.ordering not in ORDERING_METHODS:
-                raise ValueError(
-                    f"unknown ordering method {self.ordering!r} "
-                    f"(known: {list(ORDERING_METHODS)})"
-                )
+        run_ordering = None if self.ordering is None else RunOrdering(self.ordering)
+        object.__setattr__(self, "_run_ordering", run_ordering)  # frozen dataclass
 
     def reduce(self, step: TimeStepData) -> MultiVariableStep:
         shared = self._shared_ordering(step)
@@ -95,22 +90,12 @@ class MultiVariableIndexer:
 
     def _shared_ordering(self, step: TimeStepData):
         """Run-level ordering: computed once, reused for every step."""
-        if self.ordering is None:
+        if self._run_ordering is None:
             return None
-        cached = getattr(self, "_ordering_cache", None)
         names = sorted(self.binnings)
-        n_rows = np.asarray(self._field(step, names[0])).size
-        if cached is not None and cached.n_rows == n_rows:
-            return cached
-        from repro.bitmap.ordering import compute_ordering
-
-        shared = compute_ordering(
-            [self._field(step, n) for n in names],
-            [self.binnings[n] for n in names],
-            self.ordering,
+        return self._run_ordering.for_step(
+            [self._field(step, n) for n in names], [self.binnings[n] for n in names]
         )
-        object.__setattr__(self, "_ordering_cache", shared)  # frozen dataclass
-        return shared
 
     def _field(self, step: TimeStepData, name: str) -> np.ndarray:
         if name not in step.fields:

@@ -31,7 +31,10 @@ class StreamingSelector(Generic[Artifact]):
 
     ``distinctness(prev, cand)`` scores how much new information the
     candidate artifact carries vs the previously selected one (higher =
-    keep), exactly like the batch selector's metric.
+    keep), exactly like the batch selector's metric.  ``on_commit(step,
+    score, artifact)``, if set, runs each time a step is committed -- the
+    in-situ driver sets it to write the selected bitmap the moment its
+    interval closes.
 
     Usage::
 
@@ -48,6 +51,7 @@ class StreamingSelector(Generic[Artifact]):
         self._distinctness = distinctness
         self.n_steps = n_steps
         self.k = k
+        self.on_commit = None
 
         self._next_step = 0
         self._interval_idx = 0
@@ -116,6 +120,8 @@ class StreamingSelector(Generic[Artifact]):
         self._scores.append(score)
         self._prev_artifact = artifact
         self._best_artifact = None
+        if self.on_commit is not None:
+            self.on_commit(step, score, artifact)
 
     # ------------------------------------------------------------- result
     def finalize(self) -> SelectionResult:

@@ -126,22 +126,30 @@ def send_frame(sock: socket.socket, payload: dict[str, Any]) -> None:
 
 def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
     """Blocking-socket frame read; ``None`` on clean EOF at a boundary."""
-    header = b""
-    while len(header) < _HEADER.size:
-        chunk = sock.recv(_HEADER.size - len(header))
-        if not chunk:
-            if header:
-                raise ProtocolError("connection closed mid-header")
-            return None
-        header += chunk
+    header = _recv_exactly(sock, _HEADER.size, "mid-header", eof_ok=True)
+    if header is None:
+        return None
     length = check_length(_HEADER.unpack(header)[0])
-    body = b""
-    while len(body) < length:
-        chunk = sock.recv(min(1 << 16, length - len(body)))
-        if not chunk:
-            raise ProtocolError("connection closed mid-frame")
-        body += chunk
-    return decode_body(body)
+    return decode_body(_recv_exactly(sock, length, "mid-frame"))
+
+
+def _recv_exactly(
+    sock: socket.socket, n: int, where: str, *, eof_ok: bool = False
+) -> bytearray | None:
+    """Read exactly ``n`` bytes into one preallocated buffer (growing
+    ``bytes`` chunk by chunk is quadratic in ``n``); ``None`` when
+    ``eof_ok`` and the peer closed before sending any."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        read = sock.recv_into(view[got:], min(1 << 16, n - got))
+        if not read:
+            if eof_ok and not got:
+                return None
+            raise ProtocolError(f"connection closed {where}")
+        got += read
+    return buf
 
 
 # ------------------------------------------------------------- bitvectors

@@ -172,9 +172,14 @@ class QueryServer:
                 raise ServiceOverloadError(self._pending, self.max_pending)
             self._pending += 1
 
-    def _unadmit(self) -> None:
+    def _unadmit(self, served: bool) -> None:
+        """Release an admission slot and count how the request ended."""
         with self._admission:
             self._pending -= 1
+            if served:
+                self._served += 1
+            else:
+                self._errors += 1
 
     # ----------------------------------------------------------- dispatch
     def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -201,21 +206,21 @@ class QueryServer:
             self._admit()
         except ServiceOverloadError as exc:
             return error_response("overload", str(exc))
+        served = False
         try:
-            return self._execute(sql, step, want_mask=(op == "mask"))
+            response = self._execute(sql, step, want_mask=(op == "mask"))
+            served = True
+            return response
         except QueryError as exc:
-            self._errors += 1
             return error_response("query", str(exc))
         except ShardError as exc:
-            self._errors += 1
             return error_response("internal", str(exc))
         except Exception as exc:  # noqa: BLE001 - the reply IS the report
-            self._errors += 1
             return error_response(
                 "internal", f"{type(exc).__name__}: {exc}"
             )
         finally:
-            self._unadmit()
+            self._unadmit(served)
 
     def _execute(
         self, sql: str, step: int | None, *, want_mask: bool
@@ -240,7 +245,6 @@ class QueryServer:
             }
             if want_mask:
                 response["mask"] = encode_mask(result.mask)
-            self._served += 1
             return response
 
         # Scatter: each rank's partial on its owning shard, gathered with
@@ -269,7 +273,6 @@ class QueryServer:
         }
         if want_mask:
             response["mask"] = encode_mask(mask)
-        self._served += 1
         return response
 
     # ------------------------------------------------------------- asyncio
@@ -411,12 +414,14 @@ class QueryServer:
     # -------------------------------------------------------------- stats
     def server_stats(self) -> dict:
         with self._admission:
-            pending = self._pending
+            counters = {
+                "served": self._served,
+                "rejected": self._rejected,
+                "errors": self._errors,
+                "pending": self._pending,
+            }
         return {
-            "served": self._served,
-            "rejected": self._rejected,
-            "errors": self._errors,
-            "pending": pending,
+            **counters,
             "connections": self._connections,
             "shards": self.pool.n_shards,
             "max_pending": self.max_pending,

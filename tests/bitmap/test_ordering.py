@@ -210,6 +210,25 @@ class TestOrderedBuild:
             )
 
 
+class TestRunOrdering:
+    def test_first_step_fixes_the_ordering_and_pickling_keeps_it(self):
+        import pickle
+
+        from repro.bitmap.ordering import RunOrdering
+
+        rng = np.random.default_rng(5)
+        binning = EqualWidthBinning(0.0, 8.0, 8)
+        first, later = (rng.integers(0, 8, 300).astype(float) for _ in range(2))
+        run = RunOrdering("lex")
+        shared = run.for_step([first], binning)
+        assert shared == compute_ordering([first], binning, "lex")
+        assert run.for_step([later], binning) is shared
+        assert pickle.loads(pickle.dumps(run)).for_step([later], binning) == shared
+        # A new row count starts a new ordering.
+        assert run.for_step([later[:100]], binning).n_rows == 100
+        with pytest.raises(ValueError, match="unknown ordering method"):
+            RunOrdering("zorder")
+
 class TestSidecarSerialization:
     def _ordered_index(self, n=700, codec="wah", seed=4):
         rng = np.random.default_rng(seed)

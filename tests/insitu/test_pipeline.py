@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import PrecisionBinning
+from repro.insitu.allocation import SeparateCores
 from repro.insitu.pipeline import InSituPipeline
 from repro.insitu.sampling import Sampler
 from repro.insitu.writer import OutputWriter
@@ -132,15 +133,8 @@ class TestThreadedPipeline:
         """Regression: when every worker dies, a producer blocked on a
         full queue used to wait forever.  The failing worker must poison
         the queue so run_threaded re-raises the original exception."""
-        boom = RuntimeError("payload exploded")
-
-        def bad_payload(step):
-            raise boom
-
-        sim = Heat3D((8, 8, 8), seed=9)
-        pipe = InSituPipeline(
-            sim, _heat_binning(), CONDITIONAL_ENTROPY, payload_fn=bad_payload
-        )
+        boom = RuntimeError("build exploded")
+        pipe = _exploding_pipeline(boom)
         outcome: dict[str, BaseException] = {}
 
         def run():
@@ -156,6 +150,38 @@ class TestThreadedPipeline:
         t.join(timeout=10)
         assert not t.is_alive(), "run_threaded deadlocked after worker death"
         assert outcome["exc"] is boom
+
+    def test_parallel_threads_worker_failure_propagates(self):
+        """Separate Cores on threads runs the same worker pool and must
+        surface a dead worker's exception the same way."""
+        boom = RuntimeError("build exploded")
+        pipe = _exploding_pipeline(boom)
+        outcome: dict[str, BaseException] = {}
+
+        def run():
+            try:
+                pipe.run_parallel(
+                    12, 3, allocation=SeparateCores(1, 1), executor="threads",
+                    queue_capacity_bytes=8 * 8 * 8 * 8,
+                )
+            except BaseException as exc:
+                outcome["exc"] = exc
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive(), "run_parallel deadlocked after worker death"
+        assert outcome["exc"] is boom
+
+
+def _exploding_pipeline(boom: BaseException) -> InSituPipeline:
+    class ExplodingBinning(PrecisionBinning):
+        # The index build -- and so this call -- runs on the worker.
+        def assign(self, values):
+            raise boom
+
+    binning = ExplodingBinning(19.0, 101.0, digits=0)
+    return InSituPipeline(Heat3D((8, 8, 8), seed=9), binning, CONDITIONAL_ENTROPY)
 
 
 class TestSamplingPipeline:

@@ -84,6 +84,45 @@ class TestFraming:
             b.close()
 
 
+    def test_multi_mib_frame_in_small_chunks(self):
+        """A large body trickling in small pieces is reassembled whole."""
+        payload = {"op": "query", "sql": "x" * (3 << 20)}
+        frame = encode_frame(payload)
+        a, b = socket.socketpair()
+
+        def trickle():
+            for lo in range(0, len(frame), 1000):
+                a.sendall(frame[lo:lo + 1000])
+
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        try:
+            assert recv_frame(b) == payload
+        finally:
+            sender.join()
+            a.close()
+            b.close()
+
+    def test_mid_header_eof_is_protocol_error(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(encode_frame({"op": "ping"})[:2])
+            a.close()
+            with pytest.raises(ProtocolError, match="mid-header"):
+                recv_frame(b)
+        finally:
+            b.close()
+
+    def test_eof_after_a_frame_returns_none(self):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, {"op": "ping"})
+            a.close()
+            assert recv_frame(b) == {"op": "ping"}
+            assert recv_frame(b) is None
+        finally:
+            b.close()
+
 class TestMaskCodec:
     def test_word_exact_round_trip(self, rng):
         binning = EqualWidthBinning(0.0, 1.0, 4)

@@ -154,25 +154,31 @@ class TestOverload:
     def test_bounded_overload_with_recovery(self, rank_store_env):
         """Past max_pending the server sheds with structured errors --
         zero hard failures, zero hangs -- and then recovers to serve the
-        baseline workload."""
+        baseline workload.  Invalid SQL mixed into the burst is answered
+        with query errors, and the server's counters balance exactly."""
         root, _, _ = rank_store_env
         sql = "SELECT MI FROM temperature, salinity"
+        bad_sql = "SELECT MI FROM"
         with QueryServer(root, shards=2, port=0, max_pending=2).launch() as server:
             served = [0]
             shed = [0]
+            invalid = [0]
             failed = [0]
             tally = threading.Lock()
 
             def hammer():
                 with ServiceClient("127.0.0.1", server.port) as client:
-                    for _ in range(6):
+                    for i in range(6):
                         try:
-                            client.query(sql, step=0)
+                            client.query(bad_sql if i % 3 == 2 else sql, step=0)
                             with tally:
                                 served[0] += 1
                         except RemoteOverloadError:
                             with tally:
                                 shed[0] += 1
+                        except RemoteQueryError:
+                            with tally:
+                                invalid[0] += 1
                         except Exception:
                             with tally:
                                 failed[0] += 1
@@ -183,11 +189,13 @@ class TestOverload:
             for t in threads:
                 t.join()
             assert failed[0] == 0
-            assert served[0] + shed[0] == 48
+            assert served[0] + shed[0] + invalid[0] == 48
             assert served[0] > 0
             stats = server.server_stats()
             assert stats["pending"] == 0
             assert stats["rejected"] == shed[0]
+            assert stats["served"] == served[0]
+            assert stats["errors"] == invalid[0]
             # Recovery: baseline runs clean after the burst.
             with ServiceClient("127.0.0.1", server.port) as client:
                 for _ in range(4):
