@@ -32,10 +32,11 @@ def format_table(title: str, headers: list[str], rows: list[list[object]]) -> st
     return "\n".join(lines)
 
 
-def save_table(name: str, text: str) -> Path:
-    """Write a rendered table under benchmarks/results/ and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+def save_table(name: str, text: str, directory: Path = RESULTS_DIR) -> Path:
+    """Write a rendered table under ``directory`` (default
+    benchmarks/results/) and echo it."""
+    directory.mkdir(exist_ok=True)
+    path = directory / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
     return path

@@ -10,18 +10,29 @@ Ablations:
   on well-compressed operands -- the dispatcher's streaming regime;
 * fused k-way reduction (``logical_op_many``) vs a pairwise
   ``reduce(logical_or, ...)`` fold on executor-shaped multi-bin
-  operands -- what the kernels tier buys the range-query hot path.
+  operands -- what the kernels tier buys the range-query hot path;
+* the sparse joint-histogram kernel (``joint_count_matrix``) vs the
+  dense per-row loop it replaced, on one ``serve_hot``-shaped rank slab
+  (73,728 Ocean elements, 64 bins a variable) for an MI and a CE-WHERE
+  query -- the MI/CE rank partial.
 
 Run as a script (``python bench_kernels.py [--smoke]``) to sweep the
-k-way section over k in {2, 4, 8, 16}, assert the fused kernel's >= 2x
-win at k >= 8 (skipped under ``--smoke``, which only checks parity),
-and write ``results/kernels_kway.txt`` plus the machine-readable
-``results/BENCH_kernels.json``.
+k-way section over k in {2, 4, 8, 16} and time the joint section.  A
+full run asserts the fused kernel's >= 2x win at k >= 8 and the joint
+kernel's >= 2x win over the row loop, then writes
+``results/kernels_kway.txt``, ``results/kernels_joint.txt`` and the
+machine-readable ``results/BENCH_kernels.json`` (with a host block).
+``--smoke`` uses small inputs, checks parity only, and writes to a fresh
+temporary directory, never over the committed results.
 """
 
 import argparse
 import json
+import os
+import platform
+import statistics
 import sys
+import tempfile
 import time
 from functools import reduce
 from pathlib import Path
@@ -30,10 +41,12 @@ import numpy as np
 
 import pytest
 
+from repro.analysis.queries import restricted_joint_counts
 from repro.bitmap import BitmapIndex, EqualWidthBinning, WAHBitVector
 from repro.bitmap.kernels import (
     KWAY_RUNMERGE_RATIO_THRESHOLD,
     auto_count_many,
+    joint_count_matrix,
     logical_op_many,
     op_count_many,
 )
@@ -49,7 +62,8 @@ from repro.bitmap.ops import (
     xor_count,
     xor_count_streaming,
 )
-from repro.util.bits import HAS_HARDWARE_POPCOUNT
+from repro.sims import OceanDataGenerator
+from repro.util.bits import HAS_HARDWARE_POPCOUNT, popcount_u32
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _tables import RESULTS_DIR, format_table, save_table
@@ -257,7 +271,7 @@ def _best_seconds(fn, repeats: int) -> float:
     return best
 
 
-def run_kway_sweep(smoke: bool = False) -> dict:
+def run_kway_sweep(smoke: bool, out_dir: Path) -> dict:
     """Sweep fused vs pairwise OR over k; return the JSON-able record."""
     n_bits = 31 * 4_000 if smoke else N
     repeats = 3 if smoke else 15
@@ -304,23 +318,163 @@ def run_kway_sweep(smoke: bool = False) -> dict:
         ["k", "ratio", "pairwise_us", "fused_us", "or_speedup", "count_speedup"],
         rows,
     )
-    save_table("kernels_kway", table)
-    result = {
-        "n_bits": n_bits,
-        "smoke": smoke,
-        "hardware_popcount": HAS_HARDWARE_POPCOUNT,
-        "kway_runmerge_ratio_threshold": KWAY_RUNMERGE_RATIO_THRESHOLD,
-        "kway": record,
-    }
-    json_path = RESULTS_DIR / "BENCH_kernels.json"
-    json_path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"[saved to {json_path}]")
+    save_table("kernels_kway", table, out_dir)
     if not smoke:
         losers = {r["k"]: r["or_speedup"] for r in record if r["k"] >= 8}
         assert all(s >= 2.0 for s in losers.values()), (
             f"fused k-way OR under 2x vs pairwise fold at k >= 8: {losers}"
         )
-    return result
+    return {
+        "n_bits": n_bits,
+        "kway_runmerge_ratio_threshold": KWAY_RUNMERGE_RATIO_THRESHOLD,
+        "kway": record,
+    }
+
+
+# --------------------------------------------------------------------------
+# Sparse joint-histogram kernel vs the dense per-row loop (MI/CE partials)
+# --------------------------------------------------------------------------
+
+#: One ``serve_hot`` rank slab: the top quarter of an Ocean (16, 96, 192)
+#: field's depth levels -- 73,728 elements -- at 64 equal-width bins.
+JOINT_SHAPE = (16, 96, 192)
+JOINT_RANKS = 4
+JOINT_BINS = 64
+
+
+def rank_slab(shape=JOINT_SHAPE, bins=JOINT_BINS):
+    """Temperature and salinity indices of rank 0's slab, plus the raw
+    temperature slab (for the CE-WHERE predicate)."""
+    snap = OceanDataGenerator(shape, seed=7).advance()
+    slabs = {
+        v: snap.fields[v][: shape[0] // JOINT_RANKS].ravel()
+        for v in ("temperature", "salinity")
+    }
+    ia, ib = (
+        BitmapIndex.build(x, EqualWidthBinning.from_data(x, bins))
+        for x in slabs.values()
+    )
+    return ia, ib, slabs["temperature"]
+
+
+def row_loop_joint(ga, gb, mask):
+    """The dense loop the kernel replaced: each A row ANDed with every
+    group of B's matrix, then popcounted."""
+    ga = ga & mask
+    out = np.empty((ga.shape[0], gb.shape[0]), dtype=np.int64)
+    for i in range(ga.shape[0]):
+        out[i, :] = popcount_u32(ga[i][None, :] & gb).sum(axis=1, dtype=np.int64)
+    return out
+
+
+def _fresh(index: BitmapIndex) -> BitmapIndex:
+    """A new index over the same (cached) bitvectors, as the executor
+    builds per query -- its group-matrix memo starts empty."""
+    return BitmapIndex(index.binning, index.bitvectors, index.n_elements)
+
+
+def _median_ms(fn, repeats: int) -> float:
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples) * 1e3
+
+
+@pytest.fixture(scope="module")
+def joint_slab():
+    ia, ib, t = rank_slab()
+    return ia.group_matrix(), ib.group_matrix(), WAHBitVector.ones(ia.n_elements)
+
+
+def test_kernel_joint_sparse(benchmark, joint_slab):
+    ga, gb, mask = joint_slab
+    out = benchmark(lambda: joint_count_matrix(ga, gb, mask.to_groups()))
+    assert np.array_equal(out, row_loop_joint(ga, gb, mask.to_groups()))
+
+
+def test_kernel_joint_row_loop(benchmark, joint_slab):
+    """The per-row loop the sparse kernel replaced (the loser)."""
+    ga, gb, mask = joint_slab
+    benchmark(lambda: row_loop_joint(ga, gb, mask.to_groups()))
+
+
+def run_joint_section(smoke: bool, out_dir: Path) -> dict:
+    """Row loop vs sparse kernel per query class; parity asserted."""
+    shape, bins = ((8, 16, 32), 16) if smoke else (JOINT_SHAPE, JOINT_BINS)
+    repeats = 3 if smoke else 40
+    ia, ib, temperature = rank_slab(shape, bins)
+    masks = {
+        "mi": WAHBitVector.ones(ia.n_elements),
+        "ce_where": ia.query_value_range(
+            float(np.median(temperature)), float(temperature.max())
+        ),
+    }
+    ga, gb = ia.group_matrix(), ib.group_matrix()
+    rows: list[list[object]] = []
+    record: list[dict] = []
+    for case, mask in masks.items():
+        mg = mask.to_groups()
+        expected = row_loop_joint(ga, gb, mg)
+        assert np.array_equal(joint_count_matrix(ga, gb, mg), expected), case
+        assert np.array_equal(
+            restricted_joint_counts(_fresh(ia), _fresh(ib), mask), expected
+        ), case
+        decode = _median_ms(
+            lambda: (_fresh(ia).group_matrix(), _fresh(ib).group_matrix()), repeats
+        )
+        loop = _median_ms(lambda: row_loop_joint(ga, gb, mg), repeats)
+        kernel = _median_ms(lambda: joint_count_matrix(ga, gb, mg), repeats)
+        before = _median_ms(
+            lambda: row_loop_joint(
+                _fresh(ia).group_matrix(), _fresh(ib).group_matrix(),
+                mask.to_groups(),
+            ),
+            repeats,
+        )
+        after = _median_ms(
+            lambda: restricted_joint_counts(_fresh(ia), _fresh(ib), mask), repeats
+        )
+        nonzero = np.count_nonzero(ga & mg) / ga.size
+        rows.append([case, nonzero, decode, loop, kernel, loop / kernel, before, after])
+        record.append(
+            {
+                "case": case,
+                "nonzero_group_frac": round(nonzero, 4),
+                "decode_ms": round(decode, 3),
+                "row_loop_ms": round(loop, 3),
+                "kernel_ms": round(kernel, 3),
+                "kernel_speedup": round(loop / kernel, 2),
+                "partial_row_loop_ms": round(before, 3),
+                "partial_kernel_ms": round(after, 3),
+            }
+        )
+    table = format_table(
+        f"Joint histogram per rank partial: row loop vs sparse kernel "
+        f"({ia.n_elements} elements, {bins} bins, median of {repeats}"
+        f"{', SMOKE' if smoke else ''}; partial = fresh decode + joint)",
+        ["case", "nz_frac", "decode_ms", "loop_ms", "kernel_ms", "speedup",
+         "partial_loop_ms", "partial_kernel_ms"],
+        rows,
+    )
+    save_table("kernels_joint", table, out_dir)
+    if not smoke:
+        slow = {r["case"]: r["kernel_speedup"] for r in record}
+        assert all(s >= 2.0 for s in slow.values()), (
+            f"sparse joint kernel under 2x vs the row loop: {slow}"
+        )
+    return {"n_elements": ia.n_elements, "bins": bins, "cases": record}
+
+
+def host_block() -> dict:
+    return {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "hardware_popcount": HAS_HARDWARE_POPCOUNT,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -328,10 +482,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small operands, parity checks only (no speedup assertion)",
+        help="small operands, parity checks only, output to a temp dir",
     )
     args = parser.parse_args(argv)
-    run_kway_sweep(smoke=args.smoke)
+    out_dir = (
+        Path(tempfile.mkdtemp(prefix="bench_kernels_"))
+        if args.smoke
+        else RESULTS_DIR
+    )
+    result = {
+        "smoke": args.smoke,
+        "host": host_block(),
+        "hardware_popcount": HAS_HARDWARE_POPCOUNT,
+        **run_kway_sweep(args.smoke, out_dir),
+        "joint": run_joint_section(args.smoke, out_dir),
+    }
+    json_path = out_dir / "BENCH_kernels.json"
+    json_path.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"[saved to {json_path}]")
     return 0
 
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
+from repro.bitmap.kernels import joint_count_matrix
 from repro.bitmap.ops import logical_and
 from repro.bitmap.wah import WAHBitVector
 from repro.bitmap.zorder import ZOrderLayout
 from repro.metrics.entropy import mutual_information_from_joint
-from repro.util.bits import popcount_u32, last_group_mask
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,10 @@ def restricted_joint_counts(
     """Joint histogram of A x B restricted to ``mask`` -- bitmaps only."""
     if index_a.n_elements != index_b.n_elements or mask.n_bits != index_a.n_elements:
         raise ValueError("index/mask element sets differ")
-    mg = mask.to_groups()
-    if mg.size and index_a.n_elements:
-        mg = mg.copy()
-        mg[-1] &= last_group_mask(index_a.n_elements)
-    # Fused decode: each side's bins live in one stacked matrix (the
-    # memoised group_matrix, built via repro.bitmap.kernels.stack_groups),
-    # then row ops + hardware popcount.
-    ga = index_a.group_matrix() & mg
-    gb = index_b.group_matrix()
-    out = np.empty((index_a.n_bins, index_b.n_bins), dtype=np.int64)
-    for i in range(index_a.n_bins):
-        out[i, :] = popcount_u32(ga[i][None, :] & gb).sum(axis=1, dtype=np.int64)
-    return out
+    # Padding-masked group matrices make the mask's own tail harmless.
+    return joint_count_matrix(
+        index_a.group_matrix(), index_b.group_matrix(), mask.to_groups()
+    )
 
 
 def correlation_query(

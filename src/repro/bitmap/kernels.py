@@ -31,9 +31,12 @@ again for the next step.  This module fuses those folds:
   concatenator.
 
 * :func:`stack_groups` -- the shared decode-once helper behind
-  :meth:`~repro.bitmap.index.BitmapIndex.group_matrix` and the analysis
-  layers' joint kernels (rows written straight into one preallocated
-  matrix).
+  :meth:`~repro.bitmap.index.BitmapIndex.group_matrix` (rows written
+  straight into one preallocated matrix).
+
+* :func:`joint_count_matrix` -- the dense m x n joint histogram
+  ``popcount(A_i AND B_j)`` behind the metrics, analysis and mining
+  layers, gathering only A's nonzero groups.
 
 :func:`auto_op_many` / :func:`auto_count_many` dispatch between the two
 paths with :func:`~repro.bitmap.ops.prefers_runmerge` -- the same
@@ -61,6 +64,7 @@ from repro.bitmap.wah import WAHBitVector, compress_groups, compress_runs
 from repro.util.bits import (
     GROUP_BITS,
     GROUP_FULL,
+    HAS_HARDWARE_POPCOUNT,
     groups_needed,
     last_group_mask,
     popcount_total,
@@ -172,6 +176,54 @@ def stack_groups(
             _expand_slice(v, 0, n_groups, out[i])
     if mask_padding and out.size and n_bits:
         out[:, -1] &= last_group_mask(n_bits)
+    return out
+
+
+def joint_count_matrix(
+    ga: np.ndarray,
+    gb: np.ndarray,
+    mask: np.ndarray | None = None,
+    *,
+    chunk_bytes: int = KWAY_CHUNK_BYTES,
+) -> np.ndarray:
+    """``J[i, j] = popcount(ga[i] AND gb[j] AND mask)`` as an int64 matrix.
+
+    ``ga`` / ``gb`` are ``(n_bins, n_groups)`` group matrices, ``mask`` an
+    optional group array.  A bin row is zero in most groups, so only A's
+    nonzero ``(row, group)`` pairs are visited (Roaring's "intersect only
+    where both operands are nonzero"): they gather their B columns, AND,
+    popcount in place, and one ``np.add.reduceat`` sums each A row.  The
+    gathered ``n_b x pairs`` block is chunked to ``chunk_bytes``, so
+    extra memory is 8 bytes per nonzero pair plus about ``chunk_bytes``.
+    """
+    if ga.shape[1:] != gb.shape[1:] or (
+        mask is not None and mask.shape != ga.shape[1:]
+    ):
+        raise ValueError("group matrices and mask cover different group counts")
+    out = np.zeros((ga.shape[0], gb.shape[0]), dtype=np.int64)
+    flat = np.flatnonzero(ga != 0)
+    words = ga.ravel()
+    chunk = _chunk_groups_for(gb.shape[0], chunk_bytes)
+    for lo in range(0, flat.size, chunk):
+        pos = flat[lo : lo + chunk]
+        rows, cols = np.divmod(pos, ga.shape[1])
+        vals = words[pos]
+        if mask is not None:
+            vals &= mask[cols]
+            keep = np.flatnonzero(vals)
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        block = gb[:, cols]
+        block &= vals
+        if HAS_HARDWARE_POPCOUNT:
+            np.bitwise_count(block, out=block)
+        else:
+            block = popcount_u32(block)
+        # uint32 row sums: a chunk holds under 2**32 / 31 words.
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[starts]] += np.add.reduceat(
+            block, starts, axis=1, dtype=np.uint32
+        ).T
+        del block  # never hold two chunks' blocks at once
     return out
 
 

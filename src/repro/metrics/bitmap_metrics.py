@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
+from repro.bitmap.kernels import joint_count_matrix
 from repro.bitmap.ops import (
     STREAMING_COUNT_RATIO_THRESHOLD,
     and_count_streaming,
@@ -41,39 +42,6 @@ def _check_aligned(index_a: BitmapIndex, index_b: BitmapIndex) -> None:
             "indices cover different element sets: "
             f"{index_a.n_elements} != {index_b.n_elements}"
         )
-
-
-def _group_matrix(index: BitmapIndex) -> np.ndarray:
-    """The index's memoised (n_bins, n_groups) decompressed matrix.
-
-    Delegates to :meth:`BitmapIndex.group_matrix`, which builds it at most
-    once per index -- the dense-path working set shared by every analysis.
-    """
-    return index.group_matrix()
-
-
-def _joint_counts_dense(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
-    """Dense route: row-wise vectorised ANDs over the group matrices."""
-    ga = _group_matrix(index_a)
-    gb = _group_matrix(index_b)
-    out = np.zeros((index_a.n_bins, index_b.n_bins), dtype=np.int64)
-    counts_b = index_b.bin_counts()
-    nonempty_b = counts_b > 0
-    for i in range(index_a.n_bins):
-        row = ga[i]
-        # Sparsity cut: bin i only intersects B inside its own nonzero
-        # groups (each element lives in exactly one bin, so rows are
-        # sparse whenever bins outnumber a handful) -- the same effect WAH
-        # fill-skipping gives the paper's word-level ANDs.
-        cols = np.flatnonzero(row)
-        if cols.size == 0:
-            continue
-        if cols.size < row.size // 2:
-            sub = row[cols][None, :] & gb[:, cols][nonempty_b]
-        else:
-            sub = row[None, :] & gb[nonempty_b]
-        out[i, nonempty_b] = popcount_u32(sub).sum(axis=1, dtype=np.int64)
-    return out
 
 
 def _joint_counts_streaming(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
@@ -99,14 +67,16 @@ def joint_counts(
     The bitmap replacement for scanning both arrays to build the joint
     value distribution, dispatched by density: when both indices compress
     well the ``m x n`` ANDs run entirely in the compressed domain
-    (run-merge count kernels); otherwise each is a vectorised row op over
-    the memoised group matrices.  Both routes return identical counts.
+    (run-merge count kernels); otherwise
+    :func:`~repro.bitmap.kernels.joint_count_matrix` ANDs only the
+    nonzero groups of the memoised group matrices.  Both routes return
+    identical counts.
     """
     _check_aligned(index_a, index_b)
     t = STREAMING_COUNT_RATIO_THRESHOLD if threshold is None else threshold
     if index_a.compression_ratio() <= t and index_b.compression_ratio() <= t:
         return _joint_counts_streaming(index_a, index_b)
-    return _joint_counts_dense(index_a, index_b)
+    return joint_count_matrix(index_a.group_matrix(), index_b.group_matrix())
 
 
 def shannon_entropy_bitmap(index: BitmapIndex) -> float:
@@ -161,9 +131,8 @@ def spatial_bin_differences_bitmap(
             ],
             dtype=np.int64,
         )
-    ga = _group_matrix(index_a)
-    gb = _group_matrix(index_b)
-    return popcount_u32(ga ^ gb).sum(axis=1, dtype=np.int64)
+    xor = index_a.group_matrix() ^ index_b.group_matrix()
+    return popcount_u32(xor).sum(axis=1, dtype=np.int64)
 
 
 def emd_spatial_bitmap(index_a: BitmapIndex, index_b: BitmapIndex) -> float:

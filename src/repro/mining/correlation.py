@@ -25,8 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.units import n_units, unit_popcounts, unit_sizes
-from repro.bitmap.wah import WAHBitVector
+from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, logical_op_runmerge
+from repro.bitmap.units import (
+    n_units,
+    unit_popcounts,
+    unit_popcounts_groups,
+    unit_sizes,
+)
+from repro.bitmap.wah import WAHBitVector, compress_groups
+from repro.metrics.bitmap_metrics import joint_counts
 from repro.metrics.entropy import mi_term_from_cell
 
 
@@ -102,12 +109,11 @@ def correlation_mining(
 ) -> MiningResult:
     """Algorithm 2: mine correlated value and spatial subsets via bitmaps.
 
-    The m x n joint step is density-dispatched once per call: when both
-    indices compress below ``threshold`` (default
-    :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD`) every pair's
-    joint count runs in the compressed domain and only *surviving* pairs
-    materialise their joint bitvector (run-merge); otherwise each bin is
-    decompressed once into the memoised group matrix and ANDs are row ops.
+    The m x n joint step is one density-dispatched
+    :func:`~repro.metrics.joint_counts` call.  When both indices compress
+    below ``threshold`` (default ``STREAMING_COUNT_RATIO_THRESHOLD``),
+    surviving pairs materialise their joint bitvector by run merge;
+    otherwise they AND two rows of the memoised group matrices.
     """
     if index_a.n_elements != index_b.n_elements:
         raise ValueError(
@@ -119,25 +125,13 @@ def correlation_mining(
     sizes = unit_sizes(n, unit_bits)
     result = MiningResult()
 
-    from repro.bitmap.ops import (
-        STREAMING_COUNT_RATIO_THRESHOLD,
-        and_count_streaming,
-        logical_op_runmerge,
-    )
-    from repro.bitmap.units import unit_popcounts_groups
-    from repro.bitmap.wah import compress_groups
-    from repro.util.bits import popcount_total
-
     t = STREAMING_COUNT_RATIO_THRESHOLD if threshold is None else threshold
     streaming = (
         index_a.compression_ratio() <= t and index_b.compression_ratio() <= t
     )
     group_aligned = unit_bits % 31 == 0
-    if not streaming:
-        # Decompress each bin's groups once; pairwise ANDs become row ops
-        # -- the word-level work the paper counts as "m x n bitwise ANDs".
-        ga = index_a.group_matrix()
-        gb = index_b.group_matrix()
+    # Line 3's "m x n bitwise ANDs", every pair's popcount at once.
+    jcs = joint_counts(index_a, index_b, threshold=t)
 
     # Per-unit marginals of every bin, computed once (reused across pairs).
     a_units = [unit_popcounts(v, unit_bits) for v in index_a.bitvectors]
@@ -153,13 +147,7 @@ def correlation_mining(
             result.n_pairs_evaluated += 1
             if counts_b[j] == 0:
                 continue
-            if streaming:  # line 3 (AND in the compressed domain)
-                jc = and_count_streaming(
-                    index_a.bitvectors[i], index_b.bitvectors[j]
-                )
-            else:  # line 3 (AND on decompressed 31-bit groups)
-                joint_groups = ga[i] & gb[j]
-                jc = int(popcount_total(joint_groups))
+            jc = int(jcs[i, j])  # line 3
             value_mi = mi_term_from_cell(jc, int(counts_a[i]), int(counts_b[j]), n)
             if value_mi < value_threshold:  # line 5 pruning
                 continue
@@ -172,11 +160,13 @@ def correlation_mining(
                     index_a.bitvectors[i], index_b.bitvectors[j], "and"
                 )
                 joint_u = unit_popcounts(joint, unit_bits)
-            elif group_aligned:
-                joint_u = unit_popcounts_groups(joint_groups, n, unit_bits)
             else:
-                joint = WAHBitVector(compress_groups(joint_groups), n)
-                joint_u = unit_popcounts(joint, unit_bits)
+                groups = index_a.group_matrix()[i] & index_b.group_matrix()[j]
+                if group_aligned:
+                    joint_u = unit_popcounts_groups(groups, n, unit_bits)
+                else:
+                    joint = WAHBitVector(compress_groups(groups), n)
+                    joint_u = unit_popcounts(joint, unit_bits)
             result.n_units_evaluated += total_units
             unit_mi = _unit_mi(joint_u, a_units[i], b_units[j], sizes)
             for unit in np.flatnonzero(unit_mi >= spatial_threshold):

@@ -480,7 +480,8 @@ class QueryService:
         for attempt in (0, 1):
             try:
                 partial = self._rank_partial(query, rank, step, want_mask)
-                self._busy_s += time.thread_time() - t0
+                with self._admission:
+                    self._busy_s += time.thread_time() - t0
                 return partial
             except FileNotFoundError as exc:
                 if attempt:
@@ -517,8 +518,9 @@ class QueryService:
                         f"it: {exc}"
                     ) from exc
                 self._refresh_catalog()
-        self._served += 1
-        self._busy_s += time.thread_time() - t0
+        with self._admission:
+            self._served += 1
+            self._busy_s += time.thread_time() - t0
         return result
 
     def _attempt(
@@ -873,14 +875,13 @@ class QueryService:
 
     def service_stats(self) -> dict[str, int]:
         with self._admission:
-            pending = self._pending
-        return {
-            "served": self._served,
-            "rejected": self._rejected,
-            "pending": pending,
-            "open_files": len(self._files),
-            "busy_s": self._busy_s,
-        }
+            return {
+                "served": self._served,
+                "rejected": self._rejected,
+                "pending": self._pending,
+                "open_files": len(self._files),
+                "busy_s": self._busy_s,
+            }
 
     # ---------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -348,12 +348,6 @@ class ShardPool:
         return process, parent
 
     # ------------------------------------------------------------ routing
-    def handle_for_rank(self, rank: str) -> _ShardHandle:
-        return self._handles[shard_for_rank(rank, self.n_shards)]
-
-    def handle_for_variable(self, variable: str) -> _ShardHandle:
-        return self._handles[shard_for_variable(variable, self.n_shards)]
-
     def _pick(
         self, owner: int, route: Sequence[int] | None
     ) -> tuple[_ShardHandle, _ShardHandle]:

@@ -46,6 +46,25 @@ class TestCorrelationMining:
         for x, y in zip(bm.value_hits, fd.value_hits):
             assert x.mutual_information == pytest.approx(y.mutual_information)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "streaming"])
+    @pytest.mark.parametrize("unit_bits", [UNIT_BITS, 31 * 16])
+    def test_both_joint_routes_match_fulldata(self, ocean_pair, threshold, unit_bits):
+        """Forcing either joint route, with units on or off 31-bit group
+        boundaries, leaves hits, joint counts and work counters as the
+        full-data miner has them."""
+        _, _, tz, sz, bt, bs, it, is_ = ocean_pair
+        kw = dict(value_threshold=0.002, spatial_threshold=0.05, unit_bits=unit_bits)
+        bm = correlation_mining(it, is_, threshold=threshold, **kw)
+        fd = correlation_mining_fulldata(tz, sz, bt, bs, **kw)
+        assert [(h.a_bin, h.b_bin, h.joint_count) for h in bm.value_hits] == [
+            (h.a_bin, h.b_bin, h.joint_count) for h in fd.value_hits
+        ]
+        assert [
+            (h.a_bin, h.b_bin, h.unit, h.joint_count) for h in bm.spatial_hits
+        ] == [(h.a_bin, h.b_bin, h.unit, h.joint_count) for h in fd.spatial_hits]
+        assert bm.n_pairs_evaluated == it.n_bins * is_.n_bins
+        assert bm.n_pairs_survived == len(fd.value_hits)
+
     def test_finds_planted_region(self, ocean_pair):
         """Spatial hits must concentrate inside the planted box."""
         gen, layout, _, _, _, _, it, is_ = ocean_pair

@@ -1,5 +1,6 @@
 """Tests for the concurrent query executor (repro.service.executor)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -294,6 +295,51 @@ class TestAdmissionRace:
             assert svc.service_stats()["rejected"] == rejected[0]
         finally:
             svc.close()
+
+    def test_counters_balance_under_concurrent_calls(self, store_env):
+        """``served`` and ``busy_s`` are bumped from caller and pool
+        threads at once; every successful call must be counted exactly
+        once and failed (unparseable) ones not at all."""
+        root, _, _ = store_env
+        good = "SELECT COUNT FROM temperature, salinity"
+        bad = "SELECT NOPE FROM temperature"
+        ok = [0]
+        tally = threading.Lock()
+        start = threading.Barrier(8)
+
+        def hammer(tid):
+            start.wait()
+            for i in range(50):
+                sql = bad if (tid + i) % 5 == 0 else good
+                try:
+                    if (tid + i) % 2:
+                        svc.execute(sql, step=0)
+                    else:
+                        svc.submit(sql, step=0).result()
+                except QueryError:
+                    continue
+                with tally:
+                    ok[0] += 1
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches mid-update
+        with QueryService(root, max_workers=4, max_pending=64) as svc:
+            try:
+                threads = [
+                    threading.Thread(target=hammer, args=(tid,))
+                    for tid in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            finally:
+                sys.setswitchinterval(old_interval)
+            stats = svc.service_stats()
+        assert 0 < ok[0] < 8 * 50
+        assert stats["served"] == ok[0]
+        assert stats["busy_s"] > 0
+        assert stats["pending"] == 0
 
 
 class TestMaskResults:
